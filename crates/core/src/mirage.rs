@@ -111,9 +111,10 @@ pub struct MirageCache {
     index: IndexFunction,
     /// Struct-of-arrays tag/data store (see [`crate::storage`]). Every
     /// resident Mirage entry is `VALID | DATA` in the packed meta lane,
-    /// with `DIRTY`/`REUSED` riding alongside; the forward/reverse pointer
-    /// lanes and the allocated/free lists live inside the arena (Maya's
-    /// priority-0 lanes go unused here).
+    /// with `DIRTY`/`REUSED` riding alongside; the forward pointers (the
+    /// pointer lane), the reverse pointers (the owners in `allocated`) and
+    /// the free list live inside the arena (Maya's priority-0 list goes
+    /// unused here).
     arena: TagArena,
     stats: CacheStats,
     rng: SmallRng,
@@ -255,7 +256,7 @@ impl MirageCache {
         if self.arena.sdid(tag_idx) != requester.0 {
             self.stats.cross_domain_evictions += 1;
         }
-        let d = self.arena.fptr(tag_idx);
+        let d = self.arena.ptr(tag_idx);
         self.arena.data_free(d);
         self.arena.meta_and(tag_idx, !meta::VALID);
         // Lazy line read: when no probe is attached the closure never runs,
@@ -277,8 +278,8 @@ impl MirageCache {
     /// whole data store.
     fn global_eviction(&mut self, requester: DomainId, wb: &mut Writebacks) {
         let _repl = self.profiler.span(Component::Replacement);
-        let victim_data = self.arena.allocated[self.rng.gen_range(0..self.arena.allocated.len())];
-        let tag_idx = self.arena.rptr(victim_data as usize) as usize;
+        let victim = self.arena.allocated[self.rng.gen_range(0..self.arena.allocated.len())];
+        let tag_idx = victim.tag as usize;
         self.evict_tag(tag_idx, requester, EvictionCause::GlobalData, wb);
         self.stats.global_data_evictions += 1;
     }
@@ -369,7 +370,7 @@ impl CacheModel for MirageCache {
                 0
             };
         self.arena.install_tag(tag_idx, req.line, m, req.domain.0);
-        self.arena.set_fptr(tag_idx, data_idx);
+        self.arena.set_ptr(tag_idx, data_idx);
         self.stats.tag_fills += 1;
         self.stats.data_fills += 1;
         self.probe.emit_with(|| EventKind::Fill {
@@ -391,7 +392,7 @@ impl CacheModel for MirageCache {
             if dirty {
                 self.stats.writebacks_out += 1;
             }
-            let d = self.arena.fptr(i);
+            let d = self.arena.ptr(i);
             self.arena.data_free(d);
             self.arena.meta_and(i, !meta::VALID);
             self.stats.flushes += 1;
@@ -467,14 +468,14 @@ impl CacheModel for MirageCache {
                     self.arena.tag(i)
                 ));
             }
-            let d = self.arena.fptr(i) as usize;
+            let d = self.arena.ptr(i) as usize;
             if d >= self.arena.data_entries() {
                 return Err(format!("tag {i}: fptr {d} out of range"));
             }
-            if self.arena.rptr(d) as usize != i {
+            if self.arena.owner(d) != Some(i as u32) {
                 return Err(format!(
-                    "tag {i}: fptr/rptr mismatch (rptr[{d}] = {})",
-                    self.arena.rptr(d)
+                    "tag {i}: fptr/rptr mismatch (data {d} owned by {:?})",
+                    self.arena.owner(d)
                 ));
             }
         }
@@ -496,8 +497,8 @@ impl CacheModel for MirageCache {
         // `on_list` doubles as the conservation check below: every data
         // entry must sit on exactly one of the allocated/free lists.
         let mut on_list = vec![0u8; self.arena.data_entries()];
-        for (pos, &d) in self.arena.allocated.iter().enumerate() {
-            let d = d as usize;
+        for (pos, a) in self.arena.allocated.iter().enumerate() {
+            let (d, t) = (a.data as usize, a.tag);
             on_list[d] += 1;
             if self.arena.data_pos(d) as usize != pos {
                 return Err(format!(
@@ -505,29 +506,21 @@ impl CacheModel for MirageCache {
                     self.arena.data_pos(d)
                 ));
             }
-            let t = self.arena.rptr(d);
-            if t == NONE {
+            if t as usize >= self.arena.tag_entries() {
                 return Err(format!("allocated data {d} has no owning tag"));
             }
             if !self.valid(t as usize) {
                 return Err(format!("data {d} owned by invalid tag {t}"));
             }
-            if self.arena.fptr(t as usize) as usize != d {
+            if self.arena.ptr(t as usize) as usize != d {
                 return Err(format!(
                     "rptr/fptr mismatch: data {d} claims tag {t} whose fptr is {}",
-                    self.arena.fptr(t as usize)
+                    self.arena.ptr(t as usize)
                 ));
             }
         }
         self.arena.free_for_each(|d| {
-            let d = d as usize;
-            on_list[d] += 1;
-            if self.arena.rptr(d) != NONE {
-                return Err(format!(
-                    "free data {d} still has rptr {}",
-                    self.arena.rptr(d)
-                ));
-            }
+            on_list[d as usize] += 1;
             Ok(())
         })?;
         for (d, &n) in on_list.iter().enumerate() {
@@ -549,8 +542,8 @@ impl CacheModel for MirageCache {
                 if self.arena.allocated.is_empty() {
                     return None;
                 }
-                let d = self.arena.allocated[rng.gen_range(0..self.arena.allocated.len())];
-                let i = self.arena.rptr(d as usize) as usize;
+                let a = self.arena.allocated[rng.gen_range(0..self.arena.allocated.len())];
+                let (d, i) = (a.data, a.tag as usize);
                 // Clear the valid bit without releasing the data entry.
                 self.arena.meta_and(i, !meta::VALID);
                 Some(format!("tag {i}: valid bit dropped, data {d} leaked"))
@@ -559,8 +552,8 @@ impl CacheModel for MirageCache {
                 if self.arena.allocated.is_empty() {
                     return None;
                 }
-                let d = self.arena.allocated[rng.gen_range(0..self.arena.allocated.len())];
-                let i = self.arena.rptr(d as usize) as usize;
+                let i =
+                    self.arena.allocated[rng.gen_range(0..self.arena.allocated.len())].tag as usize;
                 self.arena.meta_xor(i, meta::DIRTY);
                 Some(format!("tag {i}: dirty bit flipped"))
             }
@@ -568,19 +561,19 @@ impl CacheModel for MirageCache {
                 if self.arena.allocated.is_empty() {
                     return None;
                 }
-                let d = self.arena.allocated[rng.gen_range(0..self.arena.allocated.len())];
-                let i = self.arena.rptr(d as usize) as usize;
+                let a = self.arena.allocated[rng.gen_range(0..self.arena.allocated.len())];
+                let (d, i) = (a.data, a.tag as usize);
                 let n = self.config.data_entries() as u32;
-                let bad = (self.arena.fptr(i) + 1) % n;
-                self.arena.set_fptr(i, bad);
+                let bad = (self.arena.ptr(i) + 1) % n;
+                self.arena.set_ptr(i, bad);
                 Some(format!("tag {i}: fptr redirected {d} -> {bad}"))
             }
             FaultKind::TagBit => {
                 if self.arena.allocated.is_empty() {
                     return None;
                 }
-                let d = self.arena.allocated[rng.gen_range(0..self.arena.allocated.len())];
-                let i = self.arena.rptr(d as usize) as usize;
+                let i =
+                    self.arena.allocated[rng.gen_range(0..self.arena.allocated.len())].tag as usize;
                 let (skew, set) = self.home_of(i);
                 let start = rng.gen_range(0..48u32);
                 // Pick a stuck-at bit that actually moves the entry out of
@@ -628,7 +621,7 @@ impl CacheModel for MirageCache {
                 continue;
             }
             let (skew, set) = self.home_of(i);
-            let d = self.arena.fptr(i) as usize;
+            let d = self.arena.ptr(i) as usize;
             if self.index.set_index(skew, self.arena.tag(i)) != set || d >= n || claimed[d] != NONE
             {
                 // Mis-homed or unreconcilable pointer: drop the entry.

@@ -22,7 +22,8 @@ pub(crate) const NONE: u32 = u32::MAX;
 pub(crate) mod meta {
     /// The entry holds a valid tag.
     pub const VALID: u8 = 1 << 0;
-    /// The entry owns a data-store entry (its `fptr` lane is live).
+    /// The entry owns a data-store entry (its `ptr` word is the data
+    /// pointer).
     pub const DATA: u8 = 1 << 1;
     /// The data is dirty (must be written back on release).
     pub const DIRTY: u8 = 1 << 2;
@@ -33,8 +34,8 @@ pub(crate) mod meta {
 /// Bit layout of the arena's packed per-tag `key` lane.
 ///
 /// The three per-tag scalars the way scan needs — state bits, security
-/// domain, and a tag-hash filter byte — share one `u32` so a 16-way set
-/// scan reads exactly one 64-byte cache line:
+/// domain, and a tag-hash filter byte — share one `u32`, so a way scan
+/// reads 4 bytes per way:
 ///
 /// ```text
 /// bit 31        24 23        16 15                 0
@@ -65,101 +66,142 @@ pub(crate) mod key {
 }
 
 /// Struct-of-arrays tag/data arena shared by the decoupled designs
-/// (Maya, Mirage).
+/// (Maya, Mirage) and the set-associative baseline.
 ///
 /// The per-tag state is split into parallel lanes sized so the hot paths
 /// touch as few distinct cache lines as possible — at multi-MB tag-store
 /// geometries the randomized index functions make every access a cold
-/// line, so lane count, not instruction count, is the cost model:
+/// line, so lane count and lane width, not instruction count, are the
+/// cost model:
 ///
 /// ```text
 /// tag entry i:   key[i]  (u32: [filt | meta | sdid], see [`key`])
 ///                tag[i]  (u64, line address)
-///                links[i] (u64: [fptr (hi 32) | p0_pos (lo 32)])
-/// data entry d:  dslot[d] (u64: [rptr (u32) | pos-or-free-link (u32)])
+///                ptr[i]  (u32: data pointer if priority-1, else
+///                         priority-0 back-index, else NONE)
+/// data entry d:  dslot[d] (u32: position in `allocated`, or next free)
+/// allocated[k]:  (data slot, owning tag) pair (u32, u32)
+/// presence:      one 4-bit counter per hashed slot, 16 per u64 word
 /// ```
 ///
 /// * The `key` lane packs everything a way scan filters on into 4
-///   bytes/way: a 16-way set is one 64-byte line. The filter byte is a
-///   hash of the line address, so a non-matching way is rejected without
-///   touching the 8-byte `tag` lane at all (the tag lane is read only on
-///   filter hits — ~1/256 of non-matching valid ways — and on real hits).
-/// * The `links` lane packs the forward data pointer and Maya's
-///   priority-0 back-index, which are written together on every install
-///   and eviction, into one line instead of two.
+///   bytes/way. The lane is a plain `Vec<u32>`, so a set's ways are not
+///   aligned to host cache lines: Maya's default 15-way sets sit at a
+///   60-byte stride and a 16-way set starts at an arbitrary 4-byte
+///   offset, so most set scans straddle two 64-byte lines. The filter
+///   byte is a hash of the line address, so a non-matching way is
+///   rejected without touching the 8-byte `tag` lane at all (the tag lane
+///   is read only on filter hits — ~1/256 of non-matching valid ways —
+///   and on real hits).
+/// * The `ptr` lane is a union. A priority-1 entry (Mirage: every
+///   resident entry) stores its forward data pointer there, and a Maya
+///   priority-0 entry stores its back-index into `p0_list`. An entry is
+///   never both at once — promotion leaves the priority-0 list before it
+///   allocates data, and downgrade frees data before it joins the list —
+///   so one `u32` per tag serves both. The meta byte says which
+///   interpretation is live; invalid entries hold `NONE`.
 ///
-/// All lane writes flow through accessors so the filter byte can never go
-/// stale: [`set_tag`](TagArena::set_tag) rewrites it with the tag, and
-/// state/sdid/pointer updates leave it alone. The packing is invisible to
-/// behavior — scans reject exactly the ways the unpacked layout rejected,
-/// in the same order, and no RNG is consulted anywhere in the arena.
+/// All lane writes flow through accessors so the filter byte and the
+/// presence filter can never go stale: [`set_tag`](TagArena::set_tag)
+/// rewrites the filter byte with the tag, and every validity or tag change
+/// adjusts the presence counters. The packing is invisible to behavior —
+/// scans reject exactly the ways the unpacked layout rejected, in the same
+/// order, and no RNG is consulted anywhere in the arena.
 ///
-/// The cold-start free list is *intrusive*: `free_head` plus the
-/// `free_next` lane form a singly-linked LIFO whose pop order reproduces
-/// the previous `Vec<u32>` stack exactly (construction links `0,1,2,…` so
-/// pops ascend from zero; frees push at the head). The `allocated` list
-/// stays a dense vector with the `data_pos` back-index because the global
-/// random eviction policies need O(1) *positional* uniform sampling —
-/// a linked list would change which victim a given RNG draw maps to.
+/// The cold-start free list is *intrusive*: `free_head` plus the `dslot`
+/// words of free slots form a singly-linked LIFO whose pop order
+/// reproduces the previous `Vec<u32>` stack exactly (construction links
+/// `0,1,2,…` so pops ascend from zero; frees push at the head). The
+/// `allocated` list stays a dense vector with the `dslot` back-index
+/// because the global random eviction policies need O(1) *positional*
+/// uniform sampling — a linked list would change which victim a given RNG
+/// draw maps to. Each `allocated` element carries the owning tag (the
+/// design's reverse pointer) next to the data slot, so a global data
+/// eviction learns its victim tag from the one random `allocated[r]` load
+/// instead of a second, dependent load of the slot's record. The eviction
+/// still touches several unrelated host lines: `allocated[r]`, the
+/// victim's `dslot` word, and the victim's key, tag and ptr lines.
+///
+/// # Presence filter
+///
+/// Maya enables a counting presence filter over valid lines: a zero
+/// counter *proves* a line absent, so a lookup can miss with one touch of
+/// the filter instead of deriving the indices and scanning one random
+/// key-lane line per skew. Counters are 4-bit nibbles, sixteen to a `u64`
+/// group, and the slot of a line is *blocked*:
+///
+/// ```text
+/// slot(line) = 16·h(line >> 4) + ((line + ρ(line >> 4)) mod 16)
+/// ```
+///
+/// `h` is a Fibonacci (golden-ratio multiplicative) hash of the line's
+/// aligned 16-line chunk and `ρ` a per-chunk rotation drawn from the next
+/// four bits of the same product. The 16 lines of a chunk land on 16
+/// distinct counters of one group — one 8-byte word, inside one host
+/// cache line — so a unit-stride stream walks one filter word per 16
+/// lines instead of one random host line per line. Consecutive chunks
+/// land as far apart as the group count allows (the golden-ratio
+/// multiplier's three-distance property), so concurrent streams rarely
+/// share a group. Lines 16 or 64 apart fall in different chunks, hence
+/// different groups, and the rotation spreads them over all sixteen
+/// offsets instead of pinning a strided stream to one nibble column.
+/// A counter that reaches 15 sticks there (decrements skip it too), so
+/// overflow costs precision, never correctness: the filter can say "maybe
+/// present" falsely, never "absent" falsely.
+///
+/// Keying the filter by address blocks leaks nothing the paper's model
+/// can observe. The filter is a host-side accelerator of the simulation,
+/// not a structure Maya or MIRAGE contain: it only decides whether the
+/// simulator bothers to derive the skew indices of a line it can already
+/// prove absent, and every response, RNG draw, eviction and event is the
+/// same with or without it. The security argument rests on the
+/// PRINCE-keyed skew indices, which the filter never touches.
 #[derive(Debug, Clone)]
 pub(crate) struct TagArena {
     /// Packed `[filt | meta | sdid]` word per tag entry (see [`key`]).
     key: Vec<u32>,
     /// Line address per tag entry (live when `meta & VALID`).
     tag: Vec<u64>,
-    /// Packed `[fptr | p0_pos]` pointer pair per tag entry.
-    links: Vec<u64>,
+    /// Data pointer (priority-1) or priority-0 back-index per tag entry;
+    /// `NONE` when the entry holds neither.
+    ptr: Vec<u32>,
     /// Priority-0 tag indices, dense for O(1) uniform sampling (Maya).
     pub p0_list: Vec<u32>,
-    /// Allocated data entries, dense for O(1) uniform sampling.
-    pub allocated: Vec<u32>,
-    /// Per-data-slot record (see [`DataSlot`]): one 8-byte word per slot,
-    /// so the random-slot bookkeeping of a global eviction or a data
-    /// allocation touches a single cache line where the previous separate
-    /// `rptr`/`data_pos`/`free_next` lanes took three.
-    dslot: Vec<DataSlot>,
+    /// Allocated data entries with their owners, dense for O(1) uniform
+    /// sampling.
+    pub allocated: Vec<Alloc>,
+    /// Per data slot: its position in `allocated` while allocated, the
+    /// next free-list link while free (the two lifetimes are disjoint).
+    dslot: Vec<u32>,
     /// Head of the intrusive free list (`NONE` when exhausted).
     free_head: u32,
     /// Number of entries on the free list.
     free_len: usize,
-    /// Optional counting presence filter over valid lines (empty when
-    /// disabled). `presence[slot(line)]` counts valid tag entries whose
-    /// line hashes to that slot, so a zero slot *proves* the line is
-    /// absent and a lookup can miss with one touch of this lane instead
-    /// of one random key-lane line per skew plus the index derivation.
-    /// Counters saturate sticky at 255 (never decremented again), so
-    /// saturation can only add false "maybe present" — never a false
-    /// absent. Maintained inside the lane mutators; every validity or
-    /// tag change flows through them, which `audit_presence` verifies.
-    presence: Vec<u8>,
-    /// `presence.len() - 1` (slot mask; slot count is a power of two).
-    presence_mask: usize,
+    /// Counting presence filter over valid lines (empty when disabled):
+    /// one word per 16-counter group, counter `o` in bits `4o..4o+4`.
+    /// Maintained inside the lane mutators; every validity or tag change
+    /// flows through them, which `audit_presence` verifies.
+    presence: Vec<u64>,
+    /// Right shift taking a chunk hash to its group index
+    /// (`64 - log2(groups)`).
+    presence_shift: u32,
 }
 
-/// Both halves of a `links` word set to [`NONE`].
-const LINKS_NONE: u64 = u64::MAX;
+/// Saturation value of a presence counter (4 bits, sticky).
+const PRESENCE_MAX: u64 = 0xF;
 
-/// Packed per-data-slot bookkeeping: the reverse pointer plus a dual-use
-/// link word in 8 bytes.
-///
-/// `link` holds the back-index into `allocated` while the slot is
-/// allocated and the next free-list pointer while it is free — the two
-/// lifetimes are disjoint (the old `data_pos` lane was `NONE` exactly
-/// when `free_next` was live and vice versa), so the previously separate
-/// lanes collapse into one word with no loss of state.
+/// Lines per presence-filter chunk (one counter group).
+const PRESENCE_GROUP: usize = 16;
+
+/// One allocated data slot and the tag entry that owns it (the reverse
+/// pointer of the modelled design).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DataSlot {
-    /// Owning tag index while allocated; `NONE` while free.
-    rptr: u32,
-    /// Back-index into `allocated` (allocated) or next free link (free).
-    link: u32,
+pub(crate) struct Alloc {
+    /// The data slot.
+    pub data: u32,
+    /// The owning tag entry.
+    pub tag: u32,
 }
-
-/// An unbound data slot (no owner, no links).
-const SLOT_NONE: DataSlot = DataSlot {
-    rptr: NONE,
-    link: NONE,
-};
 
 impl TagArena {
     /// An arena for `tag_entries` tags over `data_entries` data slots, all
@@ -170,27 +212,31 @@ impl TagArena {
         let mut a = Self {
             key: vec![0; tag_entries],
             tag: vec![0; tag_entries],
-            links: vec![LINKS_NONE; tag_entries],
+            ptr: vec![NONE; tag_entries],
             p0_list: Vec::new(),
             allocated: Vec::with_capacity(data_entries),
-            dslot: vec![SLOT_NONE; data_entries],
+            dslot: vec![NONE; data_entries],
             free_head: NONE,
             free_len: 0,
             presence: Vec::new(),
-            presence_mask: 0,
+            presence_shift: 0,
         };
         a.rebuild_free_ascending(|_| true);
         a
     }
 
-    /// Enables the counting presence filter with `slots` counters (power
-    /// of two), rebuilding it from the arena's current valid entries.
-    /// Purely an access-path accelerator: lookups behave identically with
-    /// or without it.
+    /// Enables the counting presence filter with `slots` counters (a power
+    /// of two, at least two groups of 16), rebuilding it from the arena's
+    /// current valid entries. Purely an access-path accelerator: lookups
+    /// behave identically with or without it.
     pub fn enable_presence(&mut self, slots: usize) {
-        assert!(slots.is_power_of_two(), "presence slots must be 2^k");
-        self.presence = vec![0; slots];
-        self.presence_mask = slots - 1;
+        assert!(
+            slots.is_power_of_two() && slots >= 2 * PRESENCE_GROUP,
+            "presence slots must be 2^k and at least 32"
+        );
+        let groups = slots / PRESENCE_GROUP;
+        self.presence = vec![0; groups];
+        self.presence_shift = 64 - groups.trailing_zeros();
         for i in 0..self.key.len() {
             if self.key[i] & key::VALID != 0 {
                 self.presence_inc(self.tag[i]);
@@ -198,12 +244,22 @@ impl TagArena {
         }
     }
 
-    /// Presence-filter slot for `line`: a second multiplicative hash,
-    /// drawing different bits than the key lane's filter byte so the two
-    /// reject independently.
+    /// Presence-filter counter of `line` as a flat index `s`: nibble
+    /// `s % 16` of group word `s / 16` (the blocked mapping described on
+    /// [`TagArena`]). The group is the top bits of the chunk's hash, the
+    /// rotation the next four.
     #[inline]
     fn pslot(&self, line: u64) -> usize {
-        ((line.wrapping_mul(0xd6e8_feb8_6659_fd93) >> 30) as usize) & self.presence_mask
+        let x = (line >> 4).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let group = (x >> self.presence_shift) as usize;
+        let rot = x >> (self.presence_shift - 4);
+        group * PRESENCE_GROUP + (line.wrapping_add(rot) & 0xF) as usize
+    }
+
+    /// The value of counter `s` (see [`pslot`](TagArena::pslot)).
+    #[inline]
+    fn counter(&self, s: usize) -> u64 {
+        (self.presence[s / PRESENCE_GROUP] >> (s % PRESENCE_GROUP * 4)) & PRESENCE_MAX
     }
 
     #[inline]
@@ -212,10 +268,12 @@ impl TagArena {
             return;
         }
         let s = self.pslot(line);
-        // Sticky saturation: a counter that ever reaches 255 is pinned
+        // Sticky saturation: a counter that ever reaches 15 is pinned
         // there (decrements skip it too), so overflow degrades precision,
         // never correctness.
-        self.presence[s] = self.presence[s].saturating_add(1);
+        if self.counter(s) != PRESENCE_MAX {
+            self.presence[s / PRESENCE_GROUP] += 1 << (s % PRESENCE_GROUP * 4);
+        }
     }
 
     #[inline]
@@ -224,8 +282,10 @@ impl TagArena {
             return;
         }
         let s = self.pslot(line);
-        if self.presence[s] != u8::MAX {
-            self.presence[s] -= 1;
+        let c = self.counter(s);
+        debug_assert_ne!(c, 0, "presence counter underflow for line {line:#x}");
+        if c != PRESENCE_MAX && c != 0 {
+            self.presence[s / PRESENCE_GROUP] -= 1 << (s % PRESENCE_GROUP * 4);
         }
     }
 
@@ -233,29 +293,32 @@ impl TagArena {
     /// (always true while the filter is disabled).
     #[inline]
     pub fn maybe_present(&self, line: u64) -> bool {
-        self.presence.is_empty() || self.presence[self.pslot(line)] != 0
+        self.presence.is_empty() || self.counter(self.pslot(line)) != 0
     }
 
     /// Verifies the presence filter against a ground-truth recount; part
     /// of the structural audit, catching any validity transition that
-    /// bypassed the counting hooks.
+    /// bypassed the counting hooks. The recount saturates at 255, which
+    /// still tells every exact counter value (below 15) from a wrong one.
     pub fn audit_presence(&self) -> Result<(), String> {
         if self.presence.is_empty() {
             return Ok(());
         }
-        let mut expect = vec![0u64; self.presence.len()];
+        let mut expect = vec![0u8; self.presence.len() * PRESENCE_GROUP];
         for i in 0..self.key.len() {
             if self.key[i] & key::VALID != 0 {
-                expect[self.pslot(self.tag[i])] += 1;
+                let s = self.pslot(self.tag[i]);
+                expect[s] = expect[s].saturating_add(1);
             }
         }
-        for (s, (&have, &want)) in self.presence.iter().zip(expect.iter()).enumerate() {
-            if have == u8::MAX {
+        for (s, &want) in expect.iter().enumerate() {
+            let have = self.counter(s);
+            if have == PRESENCE_MAX {
                 // A sticky-saturated counter may overcount, never under;
                 // its exact value is unverifiable by recount.
                 continue;
             }
-            if u64::from(have) != want {
+            if have != u64::from(want) {
                 return Err(format!(
                     "presence filter slot {s} holds {have} but {want} valid lines hash there"
                 ));
@@ -274,32 +337,36 @@ impl TagArena {
         self.dslot.len()
     }
 
-    /// The owning tag index of data slot `d` (`NONE` while free).
+    /// The owning tag of data slot `d`, if `d` is allocated (its
+    /// back-index names an `allocated` element for `d`).
     #[inline]
-    pub fn rptr(&self, d: usize) -> u32 {
-        self.dslot[d].rptr
+    pub fn owner(&self, d: usize) -> Option<u32> {
+        match self.allocated.get(self.dslot[d] as usize) {
+            Some(a) if a.data as usize == d => Some(a.tag),
+            _ => None,
+        }
     }
 
     /// The back-index of *allocated* data slot `d` into `allocated`.
     /// While `d` is free this word holds its free-list link instead.
     #[inline]
     pub fn data_pos(&self, d: usize) -> u32 {
-        self.dslot[d].link
+        self.dslot[d]
     }
 
     /// Rebinds data slot `d` to tag `t` at the tail of `allocated`
     /// (quarantine rebuild; the free list is relinked separately).
     pub fn slot_adopt(&mut self, d: usize, t: u32) {
-        self.dslot[d] = DataSlot {
-            rptr: t,
-            link: self.allocated.len() as u32,
-        };
-        self.allocated.push(d as u32);
+        self.dslot[d] = self.allocated.len() as u32;
+        self.allocated.push(Alloc {
+            data: d as u32,
+            tag: t,
+        });
     }
 
     /// Clears data slot `d`'s record (quarantine rebuild).
     pub fn slot_clear(&mut self, d: usize) {
-        self.dslot[d] = SLOT_NONE;
+        self.dslot[d] = NONE;
     }
 
     /// Resets every tag to invalid and every data slot to free, relinking
@@ -308,9 +375,9 @@ impl TagArena {
     pub fn reset(&mut self) {
         self.key.fill(0);
         self.presence.fill(0);
-        self.links.fill(LINKS_NONE);
+        self.ptr.fill(NONE);
         self.p0_list.clear();
-        self.dslot.fill(SLOT_NONE);
+        self.dslot.fill(NONE);
         self.allocated.clear();
         self.rebuild_free_ascending(|_| true);
     }
@@ -435,28 +502,18 @@ impl TagArena {
         &self.key[base..base + ways]
     }
 
-    /// The forward data pointer of tag entry `i` (`NONE` when absent).
+    /// The pointer word of tag entry `i`: its data pointer while it holds
+    /// data, its priority-0 back-index while it is priority-0, `NONE`
+    /// otherwise (see [`TagArena`]).
     #[inline]
-    pub fn fptr(&self, i: usize) -> u32 {
-        (self.links[i] >> 32) as u32
+    pub fn ptr(&self, i: usize) -> u32 {
+        self.ptr[i]
     }
 
-    /// Replaces the forward data pointer of tag entry `i`.
+    /// Replaces the pointer word of tag entry `i`.
     #[inline]
-    pub fn set_fptr(&mut self, i: usize, v: u32) {
-        self.links[i] = (self.links[i] & 0xFFFF_FFFF) | ((v as u64) << 32);
-    }
-
-    /// The priority-0 back-index of tag entry `i` (`NONE` when absent).
-    #[inline]
-    pub fn p0_pos(&self, i: usize) -> u32 {
-        self.links[i] as u32
-    }
-
-    /// Replaces the priority-0 back-index of tag entry `i`.
-    #[inline]
-    pub fn set_p0_pos(&mut self, i: usize, v: u32) {
-        self.links[i] = (self.links[i] & !0xFFFF_FFFFu64) | v as u64;
+    pub fn set_ptr(&mut self, i: usize, v: u32) {
+        self.ptr[i] = v;
     }
 
     // --- intrusive free list ------------------------------------------------
@@ -477,15 +534,15 @@ impl TagArena {
             return None;
         }
         let d = self.free_head;
-        self.free_head = self.dslot[d as usize].link;
-        self.dslot[d as usize].link = NONE;
+        self.free_head = self.dslot[d as usize];
+        self.dslot[d as usize] = NONE;
         self.free_len -= 1;
         Some(d)
     }
 
     /// Pushes `d` at the head of the free list (LIFO).
     pub fn free_push(&mut self, d: u32) {
-        self.dslot[d as usize].link = self.free_head;
+        self.dslot[d as usize] = self.free_head;
         self.free_head = d;
         self.free_len += 1;
     }
@@ -506,9 +563,9 @@ impl TagArena {
             if tail == NONE {
                 self.free_head = d as u32;
             } else {
-                self.dslot[tail as usize].link = d as u32;
+                self.dslot[tail as usize] = d as u32;
             }
-            self.dslot[d].link = NONE;
+            self.dslot[d] = NONE;
             tail = d as u32;
             self.free_len += 1;
         }
@@ -532,7 +589,7 @@ impl TagArena {
             }
             f(d)?;
             seen += 1;
-            d = self.dslot[d as usize].link;
+            d = self.dslot[d as usize];
         }
         if seen != self.free_len {
             return Err(format!(
@@ -550,11 +607,7 @@ impl TagArena {
     /// injection, left for `audit()` to flag) and appends to `allocated`.
     pub fn data_alloc(&mut self, tag_idx: usize) -> u32 {
         let d = self.free_pop().unwrap_or(0);
-        self.dslot[d as usize] = DataSlot {
-            rptr: tag_idx as u32,
-            link: self.allocated.len() as u32,
-        };
-        self.allocated.push(d);
+        self.slot_adopt(d as usize, tag_idx as u32);
         d
     }
 
@@ -563,15 +616,14 @@ impl TagArena {
     /// touching anything when `allocated` is empty — a double free,
     /// reachable only under fault injection.
     pub fn data_free(&mut self, d: u32) -> bool {
-        let pos = self.dslot[d as usize].link as usize;
+        let pos = self.dslot[d as usize] as usize;
         let Some(&last) = self.allocated.last() else {
             return false;
         };
         self.allocated.swap_remove(pos);
         if pos < self.allocated.len() {
-            self.dslot[last as usize].link = pos as u32;
+            self.dslot[last.data as usize] = pos as u32;
         }
-        self.dslot[d as usize].rptr = NONE;
         self.free_push(d);
         true
     }
@@ -580,21 +632,21 @@ impl TagArena {
 
     /// Appends tag `tag_idx` to the priority-0 list.
     pub fn p0_insert(&mut self, tag_idx: usize) {
-        self.set_p0_pos(tag_idx, self.p0_list.len() as u32);
+        self.ptr[tag_idx] = self.p0_list.len() as u32;
         self.p0_list.push(tag_idx as u32);
     }
 
     /// Swap-removes tag `tag_idx` from the priority-0 list, repairing the
-    /// moved entry's back-index.
+    /// moved entry's back-index and clearing `tag_idx`'s pointer word.
     pub fn p0_remove(&mut self, tag_idx: usize) {
-        let pos = self.p0_pos(tag_idx) as usize;
+        let pos = self.ptr[tag_idx] as usize;
         debug_assert_eq!(self.p0_list[pos], tag_idx as u32);
         self.p0_list.swap_remove(pos);
         if pos < self.p0_list.len() {
             let moved = self.p0_list[pos] as usize;
-            self.set_p0_pos(moved, pos as u32);
+            self.ptr[moved] = pos as u32;
         }
-        self.set_p0_pos(tag_idx, NONE);
+        self.ptr[tag_idx] = NONE;
     }
 
     // --- hot scans ----------------------------------------------------------
@@ -602,8 +654,8 @@ impl TagArena {
     /// First way in `[base, base + ways)` holding a valid `(line, sdid)`
     /// entry. The scan reads only the packed key lane — filter byte, valid
     /// bit, and sdid in one masked compare per way — and touches the tag
-    /// lane solely to confirm filter hits, so a miss across a 16-way set
-    /// costs one cache line. Matches exactly the ways the unpacked layout
+    /// lane solely to confirm filter hits, so a miss costs the set's
+    /// key-lane span (one or two host lines) and nothing else. Matches exactly the ways the unpacked layout
     /// matched (`tag == line && valid && sdid ==`), in the same order: the
     /// filter byte is a pure function of the tag, so it can only reject
     /// ways whose tag already differs.
@@ -792,6 +844,154 @@ pub fn table_viii_reports() -> (StorageReport, StorageReport, StorageReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Line sequences the presence-filter property runs over: unit
+    /// stride, stride 16 (one line per chunk), stride 64, and random.
+    fn line_sequence(kind: usize, rng: &mut SmallRng, n: usize) -> Vec<u64> {
+        let base = rng.gen_range(0..1u64 << 30);
+        match kind {
+            0 => (0..n as u64).map(|k| base + k).collect(),
+            1 => (0..n as u64).map(|k| base + 16 * k).collect(),
+            2 => (0..n as u64).map(|k| base + 64 * k).collect(),
+            _ => (0..n).map(|_| rng.gen_range(0..1u64 << 40)).collect(),
+        }
+    }
+
+    #[test]
+    fn presence_filter_tracks_installs_and_invalidations() {
+        for seed in 0..8u64 {
+            for kind in 0..4 {
+                let mut rng = SmallRng::seed_from_u64(seed * 31 + kind as u64);
+                // A deliberately small filter (32 counters for 64 tags) so
+                // collisions and saturation happen along the way.
+                let tags = 64;
+                let mut a = TagArena::new(tags, 0);
+                a.enable_presence(32);
+                let lines = line_sequence(kind, &mut rng, 256);
+                let mut next = 0;
+                let mut saturated: Vec<usize> = Vec::new();
+                for step in 0..2_000 {
+                    let i = rng.gen_range(0..tags);
+                    if a.key[i] & key::VALID != 0 && rng.gen_bool(0.5) {
+                        a.set_meta(i, 0);
+                    } else {
+                        let line = lines[next % lines.len()];
+                        next += 1;
+                        a.install_tag(i, line, meta::VALID, 0);
+                    }
+                    for j in 0..tags {
+                        if a.key[j] & key::VALID != 0 {
+                            assert!(
+                                a.maybe_present(a.tag[j]),
+                                "seed {seed} kind {kind} step {step}: valid line {:#x} reported absent",
+                                a.tag[j]
+                            );
+                        }
+                    }
+                    a.audit_presence()
+                        .unwrap_or_else(|e| panic!("seed {seed} kind {kind} step {step}: {e}"));
+                    for &c in &saturated {
+                        assert_eq!(a.counter(c), PRESENCE_MAX, "saturated counter {c} unpinned");
+                    }
+                    for c in 0..a.presence.len() * PRESENCE_GROUP {
+                        if a.counter(c) == PRESENCE_MAX && !saturated.contains(&c) {
+                            saturated.push(c);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn saturated_presence_counter_stays_pinned() {
+        let mut a = TagArena::new(32, 0);
+        a.enable_presence(32);
+        // Seventeen distinct lines sharing one counter.
+        let target = a.pslot(0);
+        let lines: Vec<u64> = (0u64..)
+            .filter(|&l| a.pslot(l) == target)
+            .take(17)
+            .collect();
+        for (i, &l) in lines.iter().enumerate() {
+            a.install_tag(i, l, meta::VALID, 0);
+        }
+        assert_eq!(a.counter(target), PRESENCE_MAX);
+        a.audit_presence().unwrap();
+        for i in 0..lines.len() {
+            a.set_meta(i, 0);
+        }
+        // Every line is gone, but the pinned counter still says "maybe".
+        assert_eq!(a.counter(target), PRESENCE_MAX);
+        assert!(lines.iter().all(|&l| a.maybe_present(l)));
+        a.audit_presence().unwrap();
+        // Neighbouring counters in the same word were never disturbed.
+        let word = a.presence[target / PRESENCE_GROUP];
+        assert_eq!(word, PRESENCE_MAX << ((target % PRESENCE_GROUP) * 4));
+    }
+
+    #[test]
+    fn presence_filter_is_blocked_by_aligned_chunk() {
+        let mut a = TagArena::new(1024, 0);
+        a.enable_presence(1 << 13);
+        for chunk in [0u64, 1, 0x1234_5678, (1 << 36) + 77] {
+            let lines: Vec<u64> = (0..16).map(|k| chunk * 16 + k).collect();
+            let slots: Vec<usize> = lines.iter().map(|&l| a.pslot(l)).collect();
+            // One group: one 8-byte word of the counter array, which never
+            // straddles a 64-byte host line.
+            let group = slots[0] / PRESENCE_GROUP;
+            assert!(
+                slots.iter().all(|&s| s / PRESENCE_GROUP == group),
+                "chunk {chunk:#x} split"
+            );
+            let byte = group * std::mem::size_of::<u64>();
+            assert_eq!(byte / 64, (byte + 7) / 64);
+            // Sixteen lines, sixteen distinct counters.
+            let mut offs: Vec<usize> = slots.iter().map(|&s| s % PRESENCE_GROUP).collect();
+            offs.sort_unstable();
+            assert_eq!(offs, (0..16).collect::<Vec<usize>>(), "chunk {chunk:#x}");
+        }
+        // A stride-16 stream visits one line per chunk; the per-chunk
+        // rotation still spreads it over every counter offset.
+        for stride in [16u64, 64] {
+            let mut seen = [false; 16];
+            for k in 0..256u64 {
+                seen[a.pslot(5 + stride * k) % PRESENCE_GROUP] = true;
+            }
+            assert!(
+                seen.iter().all(|&s| s),
+                "stride {stride} pinned to {seen:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn presence_filter_disabled_says_maybe() {
+        let mut a = TagArena::new(8, 0);
+        assert!(a.maybe_present(42));
+        a.install_tag(0, 42, meta::VALID, 0);
+        a.set_meta(0, 0);
+        assert!(a.maybe_present(42));
+        a.audit_presence().unwrap();
+    }
+
+    #[test]
+    fn pointer_word_switches_roles_with_priority() {
+        let mut a = TagArena::new(4, 2);
+        a.install_tag(1, 9, meta::VALID, 0);
+        a.p0_insert(1);
+        assert_eq!((a.ptr(1), a.p0_list.as_slice()), (0, &[1u32][..]));
+        a.p0_remove(1);
+        assert_eq!(a.ptr(1), NONE);
+        let d = a.data_alloc(1);
+        a.set_ptr(1, d);
+        assert_eq!((a.ptr(1), a.owner(d as usize)), (d, Some(1)));
+        a.data_free(d);
+        a.p0_insert(1);
+        assert_eq!(a.ptr(1), 0);
+    }
 
     #[test]
     fn pointer_bits_round_up() {
