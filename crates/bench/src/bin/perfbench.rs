@@ -2,7 +2,7 @@
 //!
 //! Measures (a) PRINCE throughput on the fused table-driven path and the
 //! spec-literal reference path, (b) the simulator front end in isolation —
-//! block-batched trace generation, the SoA private-cache lookup, and the
+//! block-batched trace generation, the private-cache lookup, and the
 //! fused block-dispatch loop on a baseline LLC — (c) end-to-end simulator
 //! throughput on short Maya and Mirage runs, and (d) cold-versus-warm
 //! sweep wall time per experiment family through the `sched` engine and
@@ -97,12 +97,12 @@ const PRIVATE_LOOKUPS: u64 = 4_000_000;
 /// only a real regression — not machine jitter — trips it.
 const MIN_TRACE_GEN_ACCESSES_PER_SEC: f64 = 10_000_000.0;
 
-/// Absolute floor for the L1-geometry SoA lookup under `--check`
+/// Absolute floor for the L1-geometry private-cache lookup under `--check`
 /// (measures ~17M lookups/sec on the miss-heavy microbench stream; ~3x
 /// headroom absorbs host variance).
 const MIN_L1_LOOKUPS_PER_SEC: f64 = 6_000_000.0;
 
-/// Absolute floor for the L2-geometry SoA lookup under `--check`
+/// Absolute floor for the L2-geometry private-cache lookup under `--check`
 /// (measures ~21M lookups/sec; same rationale).
 const MIN_L2_LOOKUPS_PER_SEC: f64 = 7_000_000.0;
 
@@ -244,7 +244,7 @@ fn main() {
     let trace_gen_secs = t.elapsed().as_secs_f64();
     let trace_gen_aps = slow * (2 * TRACE_GEN_ACCESSES) as f64 / trace_gen_secs.max(1e-9);
 
-    // Front-end stage 2: the SoA private-cache lookup at both Table V
+    // Front-end stage 2: the private-cache lookup at both Table V
     // geometries. The address stream is a fixed LCG over a footprint a few
     // times the capacity, so hits and misses (and dirty writebacks) are
     // both exercised; no entropy, byte-identical work every run.

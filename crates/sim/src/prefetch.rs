@@ -20,6 +20,9 @@ const CONFIDENT: u8 = 2;
 /// Confidence ceiling.
 const MAX_CONF: u8 = 3;
 
+/// Entries in the per-PC table (a power of two, so a mask indexes it).
+const TABLE_ENTRIES: usize = 256;
+
 /// Lookahead bounds for the adaptive distance throttle.
 const MIN_DISTANCE: u32 = 8;
 const MAX_DISTANCE: u32 = 256;
@@ -27,7 +30,7 @@ const MAX_DISTANCE: u32 = 256;
 /// Per-core stride prefetcher.
 #[derive(Debug, Clone)]
 pub struct StridePrefetcher {
-    table: Vec<Entry>,
+    table: Box<[Entry; TABLE_ENTRIES]>,
     degree: u32,
     distance: u32,
     issued: u64,
@@ -48,7 +51,7 @@ impl StridePrefetcher {
     /// [`StridePrefetcher::new`] with an explicit lookahead distance.
     pub fn with_distance(degree: u32, distance: u32) -> Self {
         Self {
-            table: vec![Entry::default(); 256],
+            table: Box::new([Entry::default(); TABLE_ENTRIES]),
             degree,
             distance,
             issued: 0,
@@ -91,7 +94,7 @@ impl StridePrefetcher {
         if self.degree == 0 {
             return;
         }
-        let idx = (pc as usize ^ (pc >> 8) as usize) % self.table.len();
+        let idx = (pc as usize ^ (pc >> 8) as usize) & (TABLE_ENTRIES - 1);
         let e = &mut self.table[idx];
         if e.tag == pc {
             let stride = line as i64 - e.last_line as i64;

@@ -1,4 +1,4 @@
-//! Struct-of-arrays private (L1/L2) cache model.
+//! Set-contiguous private (L1/L2) cache model.
 //!
 //! The per-core L1D and L2 used to be full [`maya_core::baseline`]
 //! `SetAssocCache` instances, but the simulator observes only three things
@@ -9,29 +9,42 @@
 //! one of the hottest lookups in the simulator (the L1 sees every access,
 //! the L2 every L1 miss and prefetch).
 //!
-//! [`PrivateCache`] keeps exactly the observable state, in the same
-//! struct-of-arrays packed-key layout the LLC's `TagArena` uses: a `u32`
-//! key lane (filter byte + valid/dirty bits) scanned one cache line at a
-//! time with the full tag confirmed only on a filter match, plus parallel
-//! tag and LRU-stamp lanes.
+//! [`PrivateCache`] keeps exactly the observable state in one `u64` vector,
+//! each set a contiguous run of `ways + 2` words:
+//!
+//! ```text
+//! [line 0] .. [line ways-1] [recency] [dirty | len << 16]
+//! ```
+//!
+//! Nothing ever invalidates a private-cache line, so a set's valid ways are
+//! always the prefix `0..len`: a miss in a set that is not full fills way
+//! `len`. The recency word is a permutation of the valid way numbers, one
+//! nibble each, most recent at nibble 0. A hit moves its way to the front;
+//! a miss in a full set evicts the way in nibble `ways - 1`, the least
+//! recently used one. The low 16 bits of the last word are per-way dirty
+//! bits.
 //!
 //! Behavioral equivalence with `SetAssocCache { Lru, Partitioning::None }`
 //! is bit-exact and pinned by twin tests: same set mapping (`line & mask`),
-//! same first-match way scan, same first-invalid-else-first-minimum-stamp
-//! victim choice, and the same single wrapping LRU clock bumped exactly
-//! once per access.
+//! the same fill order (the baseline's first invalid way is way `len`),
+//! and the same victim. The baseline evicts the way with the smallest LRU
+//! stamp from a `u32` clock bumped once per access; while that clock has
+//! not wrapped (a cache's first 2^32 accesses) the stamps are distinct and
+//! ordered by last touch, so the smallest stamp is the last nibble of the
+//! recency word. Past that point the clock mis-orders stamps; the
+//! permutation stays true LRU.
 
-/// Multiplicative tag-hash filter, identical to `TagArena::filt` so the
-/// two SoA layouts stay directly comparable in microbenchmarks.
-#[inline]
-fn filt(line: u64) -> u32 {
-    (((line.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u32) << FILT_SHIFT) & FILT_MASK
-}
+/// Most ways a set may have: the recency word holds sixteen 4-bit way
+/// numbers, and the dirty mask sixteen bits.
+const MAX_WAYS: usize = 16;
 
-const FILT_SHIFT: u32 = 24;
-const FILT_MASK: u32 = 0xFF << FILT_SHIFT;
-const VALID: u32 = 1 << 16;
-const DIRTY: u32 = 1 << 17;
+/// Bit offset of the valid-way count in a set's last word; the bits below
+/// it are the per-way dirty mask.
+const LEN_SHIFT: u32 = 16;
+/// A one in every nibble.
+const NIBBLE_ONES: u64 = 0x1111_1111_1111_1111;
+/// The high bit of every nibble.
+const NIBBLE_HIGHS: u64 = 0x8888_8888_8888_8888;
 
 /// Outcome of one private-cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,45 +61,70 @@ pub struct PrivateResponse {
 pub struct PrivateCache {
     set_mask: u64,
     ways: usize,
-    /// Packed per-way key: filter byte | dirty | valid.
-    keys: Vec<u32>,
-    tags: Vec<u64>,
-    stamps: Vec<u32>,
-    clock: u32,
+    /// The `ways` low nibbles of a recency word.
+    order_mask: u64,
+    /// `ways + 2` words per set: line words, recency word, dirty | len.
+    words: Vec<u64>,
+}
+
+/// Moves way `w`, present in the recency word `order`, to nibble 0.
+///
+/// The nibble holding `w` is the lowest zero nibble of `order ^ w·0x1…1`:
+/// the subtract-and-mask test below flags a zero nibble exactly when no
+/// lower nibble is zero, so its lowest set bit is exact. Unused nibbles
+/// above a non-full set's `len` are zero, but they sit above every valid
+/// way's nibble.
+#[inline]
+fn touch(order: u64, w: usize) -> u64 {
+    let x = order ^ (w as u64).wrapping_mul(NIBBLE_ONES);
+    let zeros = x.wrapping_sub(NIBBLE_ONES) & !x & NIBBLE_HIGHS;
+    let pos = zeros.trailing_zeros() & !3;
+    let below = (1u64 << pos) - 1;
+    let through = (below << 4) | 0xF;
+    (order & !through) | ((order & below) << 4) | w as u64
 }
 
 impl PrivateCache {
     /// Creates a cache with `sets` sets (power of two) of `ways` ways.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sets` is not a power of two or `ways` is not in
+    /// `1..=MAX_WAYS`.
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets.is_power_of_two(), "sets must be a power of two");
-        assert!(ways > 0);
+        assert!(
+            (1..=MAX_WAYS).contains(&ways),
+            "a private cache holds 1 to {MAX_WAYS} ways per set, got {ways}"
+        );
         PrivateCache {
             set_mask: (sets - 1) as u64,
             ways,
-            keys: vec![0; sets * ways],
-            tags: vec![0; sets * ways],
-            stamps: vec![0; sets * ways],
-            clock: 0,
+            order_mask: u64::MAX >> (64 - 4 * ways),
+            words: vec![0; sets * (ways + 2)],
         }
     }
 
+    /// The indices of `line`'s set in `words`.
     #[inline]
-    fn base(&self, line: u64) -> usize {
-        ((line & self.set_mask) as usize) * self.ways
+    fn set_range(&self, line: u64) -> std::ops::Range<usize> {
+        let stride = self.ways + 2;
+        let base = (line & self.set_mask) as usize * stride;
+        base..base + stride
     }
 
-    /// First way in the set holding `line`, if present.
+    /// The way holding `line` among the set's valid ways, if present.
     #[inline]
-    fn find(&self, base: usize, line: u64) -> Option<usize> {
-        let want = filt(line) | VALID;
-        const MASK: u32 = FILT_MASK | VALID;
-        (base..base + self.ways).find(|&i| self.keys[i] & MASK == want && self.tags[i] == line)
+    fn find(lines: &[u64], meta: u64, line: u64) -> Option<usize> {
+        let len = (meta >> LEN_SHIFT) as usize;
+        lines[..len].iter().position(|&l| l == line)
     }
 
     /// True when `line` is present (no LRU update).
     #[inline]
     pub fn probe(&self, line: u64) -> bool {
-        self.find(self.base(line), line).is_some()
+        let set = &self.words[self.set_range(line)];
+        Self::find(&set[..self.ways], set[self.ways + 1], line).is_some()
     }
 
     /// Demand read: LRU-touch on hit, LRU fill on miss.
@@ -104,48 +142,42 @@ impl PrivateCache {
 
     #[inline]
     fn access(&mut self, line: u64, is_write: bool) -> PrivateResponse {
-        let base = self.base(line);
-        if let Some(i) = self.find(base, line) {
-            if is_write {
-                self.keys[i] |= DIRTY;
-            }
-            self.clock = self.clock.wrapping_add(1);
-            self.stamps[i] = self.clock;
-            return PrivateResponse {
+        let ways = self.ways;
+        let range = self.set_range(line);
+        let (lines, tail) = self.words[range].split_at_mut(ways);
+        let (order, meta) = (tail[0], tail[1]);
+        let dirty = u64::from(is_write);
+        let len = (meta >> LEN_SHIFT) as usize;
+        let (order, meta, response) = if let Some(w) = Self::find(lines, meta, line) {
+            let hit = PrivateResponse {
                 hit: true,
                 writeback: None,
             };
-        }
-        // Fill: first invalid way, else first-minimum LRU stamp — the
-        // same scan order and tie-break as `ReplacementState::choose_victim`.
-        let mut slot = None;
-        for i in base..base + self.ways {
-            if self.keys[i] & VALID == 0 {
-                slot = Some(i);
-                break;
-            }
-        }
-        let (i, writeback) = match slot {
-            Some(i) => (i, None),
-            None => {
-                let mut victim = base;
-                for i in base + 1..base + self.ways {
-                    if self.stamps[i] < self.stamps[victim] {
-                        victim = i;
-                    }
-                }
-                let wb = (self.keys[victim] & DIRTY != 0).then_some(self.tags[victim]);
-                (victim, wb)
-            }
+            (touch(order, w), meta | dirty << w, hit)
+        } else if len < ways {
+            // Fill the first invalid way and make it the most recent.
+            lines[len] = line;
+            let miss = PrivateResponse {
+                hit: false,
+                writeback: None,
+            };
+            let meta = (meta + (1 << LEN_SHIFT)) | dirty << len;
+            ((order << 4) | len as u64, meta, miss)
+        } else {
+            // Evict the least recent way, the last nibble, and refill it
+            // as the most recent.
+            let victim = ((order >> (4 * (ways - 1))) & 0xF) as usize;
+            let miss = PrivateResponse {
+                hit: false,
+                writeback: ((meta >> victim) & 1 == 1).then_some(lines[victim]),
+            };
+            lines[victim] = line;
+            let order = ((order << 4) | victim as u64) & self.order_mask;
+            (order, (meta & !(1 << victim)) | dirty << victim, miss)
         };
-        self.keys[i] = filt(line) | VALID | if is_write { DIRTY } else { 0 };
-        self.tags[i] = line;
-        self.clock = self.clock.wrapping_add(1);
-        self.stamps[i] = self.clock;
-        PrivateResponse {
-            hit: false,
-            writeback,
-        }
+        tail[0] = order;
+        tail[1] = meta;
+        response
     }
 }
 
@@ -157,6 +189,7 @@ mod tests {
     };
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::VecDeque;
 
     /// Drives the lean cache and the full baseline with one stream and
     /// asserts every observable (hit, writeback set, probe) matches.
@@ -216,18 +249,78 @@ mod tests {
         twin_run(1, 2, 20_000, 7, 5);
     }
 
-    #[test]
-    fn clock_wraparound_does_not_break_hits() {
-        // The baseline's LRU clock wraps identically at the same count (both
-        // tick exactly once per access from zero), so aligned-clock twin
-        // equivalence covers wrap semantics; here we only smoke-test that a
-        // wrapping clock keeps the cache functional.
-        let mut lean = PrivateCache::new(4, 2);
-        lean.clock = u32::MAX - 16;
-        for line in 0..64u64 {
-            let _ = lean.read(line);
-            assert!(lean.read(line).hit, "re-read of {line} must hit");
+    /// Drives the cache and a reference true-LRU model (one `VecDeque` per
+    /// set, most recent first, each line with its dirty bit) with random
+    /// reads, writes and probes, comparing every observable on every step.
+    fn lru_model_run(sets: usize, ways: usize, steps: usize, seed: u64, footprint: u64) {
+        let mut cache = PrivateCache::new(sets, ways);
+        let mut model: Vec<VecDeque<(u64, bool)>> = vec![VecDeque::new(); sets];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for n in 0..steps {
+            let line = rng.gen_range(0..footprint);
+            let set = &mut model[(line as usize) & (sets - 1)];
+            match rng.gen_range(0..3u8) {
+                0 => {
+                    let want = set.iter().any(|&(l, _)| l == line);
+                    assert_eq!(cache.probe(line), want, "probe at step {n} (line {line})");
+                }
+                op => {
+                    let is_write = op == 2;
+                    let got = if is_write {
+                        cache.write(line)
+                    } else {
+                        cache.read(line)
+                    };
+                    let want = match set.iter().position(|&(l, _)| l == line) {
+                        Some(pos) => {
+                            let (_, dirty) = set.remove(pos).expect("present");
+                            set.push_front((line, dirty || is_write));
+                            PrivateResponse {
+                                hit: true,
+                                writeback: None,
+                            }
+                        }
+                        None => {
+                            let victim = (set.len() == ways).then(|| set.pop_back());
+                            set.push_front((line, is_write));
+                            PrivateResponse {
+                                hit: false,
+                                writeback: victim.flatten().filter(|&(_, d)| d).map(|(l, _)| l),
+                            }
+                        }
+                    };
+                    assert_eq!(got, want, "step {n} (line {line}, write {is_write})");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn true_lru_on_a_tiny_thrashing_set() {
+        lru_model_run(1, 2, 20_000, 0x1A2B, 5);
+    }
+
+    #[test]
+    fn true_lru_at_sixteen_ways() {
+        // Sixteen ways fill every nibble of the recency word, so the
+        // victim sits in nibble 15 and a hit there shifts the full word.
+        lru_model_run(4, 16, 60_000, 0x16, 4 * 16 + 24);
+    }
+
+    #[test]
+    fn true_lru_at_l1_geometry() {
+        lru_model_run(64, 12, 60_000, 0x11D, 64 * 12 * 3 / 2);
+    }
+
+    #[test]
+    fn true_lru_at_l2_geometry() {
+        lru_model_run(1024, 8, 100_000, 0x12, 1024 * 8 * 3 / 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "1 to 16 ways")]
+    fn more_than_sixteen_ways_is_rejected() {
+        PrivateCache::new(4, 17);
     }
 
     #[test]

@@ -28,9 +28,23 @@ const INFLIGHT_HINT: usize = 1024;
 /// with linear scans replaces the `BinaryHeap` the hot loop used to sift
 /// on every miss. Equal completion times are indistinguishable (`u64`),
 /// so scan order cannot leak into results.
-#[derive(Default)]
+///
+/// The window caches its earliest completion (`u64::MAX` when empty), so
+/// the retire check every load makes ([`MshrWindow::retire_through`])
+/// returns at once when nothing is due. Every mutation keeps the cached
+/// value exact.
 struct MshrWindow {
     slots: Vec<u64>,
+    earliest: u64,
+}
+
+impl Default for MshrWindow {
+    fn default() -> Self {
+        Self {
+            slots: Vec::new(),
+            earliest: u64::MAX,
+        }
+    }
 }
 
 impl MshrWindow {
@@ -42,27 +56,26 @@ impl MshrWindow {
     #[inline]
     fn push(&mut self, completion: u64) {
         self.slots.push(completion);
+        self.earliest = self.earliest.min(completion);
     }
 
     /// Removes and returns the earliest completion, if any.
     #[inline]
     fn pop_min(&mut self) -> Option<u64> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mut min = 0;
-        for i in 1..self.slots.len() {
-            if self.slots[i] < self.slots[min] {
-                min = i;
-            }
-        }
-        Some(self.slots.swap_remove(min))
+        let min = self.slots.iter().position(|&c| c == self.earliest)?;
+        let completion = self.slots.swap_remove(min);
+        self.earliest = self.slots.iter().copied().min().unwrap_or(u64::MAX);
+        Some(completion)
     }
 
     /// Retires every miss whose completion is at or before `now`.
     #[inline]
     fn retire_through(&mut self, now: u64) {
+        if now < self.earliest {
+            return;
+        }
         self.slots.retain(|&c| c > now);
+        self.earliest = self.slots.iter().copied().min().unwrap_or(u64::MAX);
     }
 
     /// Latest outstanding completion (the end-of-run drain point).
@@ -352,34 +365,25 @@ impl System {
     /// touching the (inert) probe/profiler handles.
     ///
     /// The scheduler's `min_by_key` in [`Self::run_instrumented`] selects
-    /// the *first* core with minimal time, so core `i` remains the pick
-    /// exactly while `t_i` stays strictly below every earlier unfinished
-    /// core's time and not above any later unfinished core's. Both bounds
-    /// are constants during a drain (only core `i`'s clock moves), so the
-    /// inner loop needs only two comparisons per access to reproduce the
-    /// per-access schedule exactly.
+    /// the *first* unfinished core with minimal time. Here each core has
+    /// one `u64` key — its clock while unfinished, `u64::MAX` once done —
+    /// so the eight keys of a Table V run share one host cache line and
+    /// the pick is the first minimum of one pass over them. Core `i`
+    /// remains the pick exactly while `t_i` stays strictly below every
+    /// earlier key and not above any later one. Both bounds are constants
+    /// during a drain (only core `i`'s clock moves), so the inner loop
+    /// needs only two comparisons per access to reproduce the per-access
+    /// schedule exactly, and only core `i`'s key is rewritten after it.
     fn run_fused(&mut self, target: u64) {
-        loop {
-            let mut next: Option<(usize, u64)> = None;
-            for (i, c) in self.cores.iter().enumerate() {
-                if c.retired < target && next.is_none_or(|(_, t)| c.t < t) {
-                    next = Some((i, c.t));
-                }
+        let key = |c: &Core| if c.retired < target { c.t } else { u64::MAX };
+        let mut keys: Vec<u64> = self.cores.iter().map(key).collect();
+        // `min_by_key` returns the first of equal minima.
+        while let Some((i, &k)) = keys.iter().enumerate().min_by_key(|&(_, &k)| k) {
+            if k == u64::MAX {
+                break;
             }
-            let Some((i, _)) = next else { break };
-            // Bounds on core i's drain (see doc comment): strict for
-            // earlier cores, non-strict for later ones.
-            let mut before = u64::MAX;
-            let mut after = u64::MAX;
-            for (j, c) in self.cores.iter().enumerate() {
-                if j != i && c.retired < target {
-                    if j < i {
-                        before = before.min(c.t);
-                    } else {
-                        after = after.min(c.t);
-                    }
-                }
-            }
+            let before = keys[..i].iter().copied().min().unwrap_or(u64::MAX);
+            let after = keys[i + 1..].iter().copied().min().unwrap_or(u64::MAX);
             loop {
                 self.step::<false>(i);
                 let c = &self.cores[i];
@@ -387,6 +391,7 @@ impl System {
                     break;
                 }
             }
+            keys[i] = key(&self.cores[i]);
         }
     }
 
@@ -417,10 +422,11 @@ impl System {
     }
 
     /// Executes one trace record (gap instructions plus one memory access)
-    /// on core `i`. `OBS` gates the per-access probe/profiler calls: the
-    /// fused loop runs with `OBS = false` only when both handles are inert,
-    /// where every gated call is a behavioral no-op — so the two
-    /// instantiations produce identical transcripts.
+    /// on core `i`. `OBS` gates every per-access probe/profiler call, here
+    /// and in the load/store walks it threads through, so none of them is
+    /// compiled into the fused loop. That loop runs with `OBS = false` only
+    /// when both handles are inert, where every gated call is a behavioral
+    /// no-op — so the two instantiations produce identical transcripts.
     fn step<const OBS: bool>(&mut self, i: usize) {
         // In the instrumented loop the caller has already advanced the
         // profiler clocks and opened the `core` span for this step.
@@ -453,9 +459,9 @@ impl System {
             });
         }
         if access.is_write {
-            self.store(i, line, access.pc);
+            self.store::<OBS>(i, line, access.pc);
         } else {
-            self.load(i, line, access.pc, access.dependent);
+            self.load::<OBS>(i, line, access.pc, access.dependent);
         }
         // Warm-up boundary: start measuring this core; when the last core
         // warms up, zero the shared-LLC statistics so Figure-1-style
@@ -471,7 +477,7 @@ impl System {
         }
     }
 
-    fn load(&mut self, i: usize, line: u64, pc: u64, dependent: bool) {
+    fn load<const OBS: bool>(&mut self, i: usize, line: u64, pc: u64, dependent: bool) {
         if dependent {
             let core = &mut self.cores[i];
             core.t = core.t.max(core.last_load_completion);
@@ -489,9 +495,9 @@ impl System {
             l1_lat
         } else {
             if let Some(v) = r1.writeback {
-                self.l2_writeback(i, v);
+                self.l2_writeback::<OBS>(i, v);
             }
-            l1_lat + self.walk_below_l1(i, line, true)
+            l1_lat + self.walk_below_l1::<OBS>(i, line, true)
         };
         let core = &mut self.cores[i];
         if latency > l1_lat {
@@ -509,9 +515,11 @@ impl System {
         }
         // Retire completed misses from the window.
         core.outstanding.retire_through(core.t);
-        self.probe.emit_with(|| EventKind::LoadComplete { latency });
+        if OBS {
+            self.probe.emit_with(|| EventKind::LoadComplete { latency });
+        }
         for &p in prefetches.iter() {
-            self.prefetch_fill(i, p);
+            self.prefetch_fill::<OBS>(i, p);
         }
         prefetches.clear();
         self.cores[i].prefetch_buf = prefetches;
@@ -520,7 +528,7 @@ impl System {
     /// Write-allocate store: dirties L1D; a miss issues an RFO that behaves
     /// like a load for the hierarchy and the MSHR window, but the store
     /// itself never stalls retirement (write-buffer semantics).
-    fn store(&mut self, i: usize, line: u64, pc: u64) {
+    fn store<const OBS: bool>(&mut self, i: usize, line: u64, pc: u64) {
         // The L1D prefetcher trains on all demand accesses, stores
         // included — write-heavy streams would otherwise break stride
         // detection.
@@ -531,9 +539,9 @@ impl System {
         let r1 = self.cores[i].l1d.write(line);
         if !r1.hit {
             if let Some(v) = r1.writeback {
-                self.l2_writeback(i, v);
+                self.l2_writeback::<OBS>(i, v);
             }
-            let latency = self.walk_below_l1(i, line, true);
+            let latency = self.walk_below_l1::<OBS>(i, line, true);
             let core = &mut self.cores[i];
             if core.outstanding.len() >= self.config.mlp {
                 if let Some(free_at) = core.outstanding.pop_min() {
@@ -543,7 +551,7 @@ impl System {
             core.outstanding.push(core.t + latency);
         }
         for &p in prefetches.iter() {
-            self.prefetch_fill(i, p);
+            self.prefetch_fill::<OBS>(i, p);
         }
         prefetches.clear();
         self.cores[i].prefetch_buf = prefetches;
@@ -553,7 +561,7 @@ impl System {
     /// latency beyond the L1 access. `demand` distinguishes demand traffic
     /// (counted in MPKI, waits on in-flight prefetches) from prefetches
     /// (inserted at distant priority, never counted).
-    fn walk_below_l1(&mut self, i: usize, line: u64, demand: bool) -> u64 {
+    fn walk_below_l1<const OBS: bool>(&mut self, i: usize, line: u64, demand: bool) -> u64 {
         let kind = if demand {
             AccessKind::Read
         } else {
@@ -574,8 +582,10 @@ impl System {
             if let Some(ready_at) = self.cores[i].inflight_prefetch.remove(line) {
                 if ready_at > now {
                     self.cores[i].prefetcher.note_late();
-                    self.probe
-                        .emit_with(|| EventKind::PrefetchLateMerge { line });
+                    if OBS {
+                        self.probe
+                            .emit_with(|| EventKind::PrefetchLateMerge { line });
+                    }
                     if self.cores[i].measuring {
                         self.cores[i].meas.l2_misses =
                             self.cores[i].meas.l2_misses.saturating_add(1);
@@ -596,9 +606,14 @@ impl System {
             }
             return l2_lat;
         }
-        self.cores[i].inflight_prefetch.remove(line);
+        // A prefetch reaches here only after `prefetch_fill` proved its line
+        // is not in flight; a demand miss may still find one whose line the
+        // L2 has since evicted.
+        if demand {
+            self.cores[i].inflight_prefetch.remove(line);
+        }
         if let Some(v) = r2.writeback {
-            self.llc_writeback(i, v);
+            self.llc_writeback::<OBS>(i, v);
         }
         if demand && self.cores[i].measuring {
             self.cores[i].meas.l2_misses = self.cores[i].meas.l2_misses.saturating_add(1);
@@ -608,12 +623,12 @@ impl System {
         let domain = self.cores[i].domain;
         let llc_lat = u64::from(self.config.llc_latency) + u64::from(self.llc.extra_latency());
         let r3 = {
-            let _llc = self.profiler.span(Component::Llc);
+            let _llc = OBS.then(|| self.profiler.span(Component::Llc));
             self.llc.access(Request { line, kind, domain })
         };
         let now = self.cores[i].t + l2_lat + llc_lat;
         if !r3.writebacks.is_empty() {
-            let _dram = self.profiler.span(Component::Dram);
+            let _dram = OBS.then(|| self.profiler.span(Component::Dram));
             for wb in r3.writebacks.iter() {
                 self.dram.write(wb, domain, now);
             }
@@ -625,21 +640,21 @@ impl System {
             self.cores[i].meas.llc_demand_misses =
                 self.cores[i].meas.llc_demand_misses.saturating_add(1);
         }
-        let _dram = self.profiler.span(Component::Dram);
+        let _dram = OBS.then(|| self.profiler.span(Component::Dram));
         l2_lat + llc_lat + self.dram.read(line, domain, now)
     }
 
     /// A dirty L2 victim written back to the LLC; its own victims go to
     /// DRAM.
-    fn llc_writeback(&mut self, i: usize, line: u64) {
+    fn llc_writeback<const OBS: bool>(&mut self, i: usize, line: u64) {
         let domain = self.cores[i].domain;
         let r = {
-            let _llc = self.profiler.span(Component::Llc);
+            let _llc = OBS.then(|| self.profiler.span(Component::Llc));
             self.llc.access(Request::writeback(line, domain))
         };
         let now = self.cores[i].t;
         if !r.writebacks.is_empty() {
-            let _dram = self.profiler.span(Component::Dram);
+            let _dram = OBS.then(|| self.profiler.span(Component::Dram));
             for wb in r.writebacks.iter() {
                 self.dram.write(wb, domain, now);
             }
@@ -648,10 +663,10 @@ impl System {
 
     /// A dirty L1 victim written back into L2 (allocating); L2 victims
     /// cascade to the LLC.
-    fn l2_writeback(&mut self, i: usize, line: u64) {
+    fn l2_writeback<const OBS: bool>(&mut self, i: usize, line: u64) {
         let r = self.cores[i].l2.write(line);
         if let Some(v) = r.writeback {
-            self.llc_writeback(i, v);
+            self.llc_writeback::<OBS>(i, v);
         }
     }
 
@@ -659,13 +674,15 @@ impl System {
     /// banks), records the line's arrival time for the timeliness check,
     /// and is excluded from demand MPKI. Lines already in L2 or already in
     /// flight are not refetched.
-    fn prefetch_fill(&mut self, i: usize, line: u64) {
+    fn prefetch_fill<const OBS: bool>(&mut self, i: usize, line: u64) {
         if self.cores[i].l2.probe(line) || self.cores[i].inflight_prefetch.contains(line) {
             return;
         }
-        self.probe.emit_with(|| EventKind::PrefetchIssue { line });
-        let _prefetch = self.profiler.span(Component::Prefetch);
-        let latency = self.walk_below_l1(i, line, false);
+        if OBS {
+            self.probe.emit_with(|| EventKind::PrefetchIssue { line });
+        }
+        let _prefetch = OBS.then(|| self.profiler.span(Component::Prefetch));
+        let latency = self.walk_below_l1::<OBS>(i, line, false);
         let core = &mut self.cores[i];
         core.inflight_prefetch.insert(line, core.t + latency);
         // Bound the table: drop entries whose data already arrived.
@@ -696,6 +713,51 @@ mod tests {
             16,
             Policy::Srrip,
         )))
+    }
+
+    #[test]
+    fn mshr_window_tracks_its_earliest_completion_exactly() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut window = MshrWindow::default();
+        let mut model: Vec<u64> = Vec::new();
+        let mut rng = SmallRng::seed_from_u64(0x3511);
+        let mut now = 0u64;
+        for n in 0..50_000 {
+            match rng.gen_range(0..4u8) {
+                0 | 1 if model.len() < 16 => {
+                    // Completions land near `now`, duplicates included.
+                    let c = now + rng.gen_range(0..40u64);
+                    window.push(c);
+                    model.push(c);
+                }
+                2 => {
+                    let want = model.iter().copied().min();
+                    if let Some(m) = want {
+                        let at = model.iter().position(|&c| c == m).expect("present");
+                        model.swap_remove(at);
+                    }
+                    assert_eq!(window.pop_min(), want, "pop_min at step {n}");
+                }
+                _ => {
+                    now += rng.gen_range(0..12u64);
+                    window.retire_through(now);
+                    model.retain(|&c| c > now);
+                }
+            }
+            let mut got = window.slots.clone();
+            got.sort_unstable();
+            let mut want = model.clone();
+            want.sort_unstable();
+            assert_eq!(got, want, "contents at step {n}");
+            assert_eq!(window.len(), model.len());
+            assert_eq!(
+                window.earliest,
+                model.iter().copied().min().unwrap_or(u64::MAX),
+                "cached earliest at step {n}"
+            );
+            assert_eq!(window.max(), model.iter().copied().max());
+        }
     }
 
     #[test]

@@ -28,6 +28,10 @@ use crate::{Access, TraceGenerator};
 const MAGIC: &[u8; 8] = b"MAYATRC1";
 const PC_MASK: u64 = (1 << 48) - 1;
 const GAP_MAX: u32 = (1 << 12) - 1;
+/// Magic plus record count.
+const HEADER_BYTES: u128 = 16;
+/// One packed access.
+const RECORD_BYTES: u128 = 16;
 
 fn pack(a: &Access) -> [u8; 16] {
     let meta = (a.pc & PC_MASK)
@@ -81,10 +85,15 @@ impl TraceFile {
     ///
     /// # Errors
     ///
-    /// Returns an error for I/O failures, a bad magic value, or a
-    /// truncated file.
+    /// Returns an error for I/O failures, a bad magic value, or a file
+    /// whose length is not the header plus exactly the record count the
+    /// header claims (a truncated file, a trailing partial record, or a
+    /// lying count). The count is checked against the file's length before
+    /// anything is allocated from it.
     pub fn open(path: &Path) -> io::Result<Self> {
-        let mut r = BufReader::new(File::open(path)?);
+        let file = File::open(path)?;
+        let file_len = file.metadata()?.len();
+        let mut r = BufReader::new(file);
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
         if &magic != MAGIC {
@@ -99,7 +108,25 @@ impl TraceFile {
         if count == 0 {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "empty trace"));
         }
-        let mut records = Vec::with_capacity(count as usize);
+        let expected = u128::from(count) * RECORD_BYTES + HEADER_BYTES;
+        if expected != u128::from(file_len) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "trace header claims {count} records ({expected} bytes with the \
+                     header) but the file holds {file_len} bytes"
+                ),
+            ));
+        }
+        // `count` records fit in a file that exists, so this allocation is
+        // bounded by the file's own size.
+        let capacity = usize::try_from(count).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("trace of {count} records does not fit in memory"),
+            )
+        })?;
+        let mut records = Vec::with_capacity(capacity);
         let mut rec = [0u8; 16];
         for _ in 0..count {
             r.read_exact(&mut rec)?;
@@ -183,6 +210,58 @@ mod tests {
         std::fs::write(&path, b"NOTATRACEFILE___").expect("write");
         assert!(TraceFile::open(&path).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Writes `records` whole records from a real generator under a header
+    /// claiming `count`, followed by `extra` stray bytes.
+    fn write_raw(path: &Path, count: u64, records: u64, extra: usize) {
+        let mut gen = benchmark("mcf").expect("known").generator(0, 3);
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&count.to_le_bytes());
+        for _ in 0..records {
+            bytes.extend_from_slice(&pack(&gen.next_access()));
+        }
+        bytes.extend(std::iter::repeat_n(0xA5u8, extra));
+        std::fs::write(path, bytes).expect("write");
+    }
+
+    fn open_error(tag: &str, count: u64, records: u64, extra: usize) -> io::Error {
+        let path = temp_path(tag);
+        write_raw(&path, count, records, extra);
+        let err = TraceFile::open(&path).expect_err("malformed trace must be rejected");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        err
+    }
+
+    #[test]
+    fn huge_count_in_a_short_file_is_an_error_not_an_abort() {
+        let err = open_error("huge", 1 << 60, 0, 0).to_string();
+        assert!(err.contains(&(1u64 << 60).to_string()), "{err}");
+        assert!(err.contains("holds 16 bytes"), "{err}");
+        let err = open_error("max", u64::MAX, 1, 0).to_string();
+        assert!(err.contains(&u64::MAX.to_string()), "{err}");
+    }
+
+    #[test]
+    fn truncated_file_is_rejected() {
+        let err = open_error("truncated", 100, 99, 0).to_string();
+        assert!(err.contains("claims 100 records"), "{err}");
+        assert!(
+            err.contains(&format!("holds {} bytes", 16 + 99 * 16)),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn trailing_partial_record_is_rejected() {
+        let err = open_error("partial", 10, 10, 7).to_string();
+        assert!(
+            err.contains(&format!("holds {} bytes", 16 + 10 * 16 + 7)),
+            "{err}"
+        );
+        // A header count that includes the partial record is no better.
+        open_error("partial_counted", 11, 10, 7);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use maya_repro::maya_core::{
     CacheModel, DomainId, MayaCache, MayaConfig, MirageCache, MirageConfig, Request,
 };
 use maya_repro::maya_obs::{MetricsProbe, NopProbe, ProbeHandle, ProfileHandle, SpanProfiler};
-use maya_repro::workloads::mixes::homogeneous;
+use maya_repro::workloads::mixes::{hetero_mixes, homogeneous};
 
 /// Baseline-equivalent capacity: 1 MB (16K lines), small enough for debug
 /// runs, large enough that the mixed workload below forces evictions.
@@ -290,6 +290,50 @@ fn profiler_never_perturbs_system_runs() {
             .unwrap_or_else(|| panic!("{id}: no run span"));
         assert!(run.cycles > 0, "{id}: run span recorded no cycles");
         assert!(run.accesses > 0, "{id}: run span recorded no accesses");
+    }
+}
+
+/// The fused dispatch loop (no profiler) and the instrumented one (profiler
+/// attached) must agree on full 8-core runs, not just the 2-core case
+/// above: a heterogeneous Table VI mix, whose cores reach their
+/// instruction targets at different times so finished cores drop out of
+/// the fused loop's pick while others run on, plus homogeneous streaming
+/// (`lbm`) and cache-friendly (`leela`) mixes.
+#[test]
+fn fused_and_instrumented_loops_agree_on_eight_cores() {
+    let cfg = || SystemConfig::eight_core_default().with_instructions(20_000, 60_000);
+    let m4 = hetero_mixes()
+        .into_iter()
+        .find(|m| m.name == "M4")
+        .expect("Table VI has M4");
+    let mixes = [m4, homogeneous("lbm", 8), homogeneous("leela", 8)];
+    for mix in mixes {
+        let build = || {
+            let llc = MayaCache::new(MayaConfig::for_baseline_lines(
+                cfg().baseline_llc_lines(),
+                11,
+            ));
+            System::new(cfg(), Box::new(llc), &mix, 5)
+        };
+        let fused = build().run();
+        let mut sys = build();
+        let (handle, _prof) = ProfileHandle::of(SpanProfiler::new());
+        sys.set_profiler(handle);
+        let instrumented = sys.run();
+        assert_eq!(
+            format!("{fused:?}"),
+            format!("{instrumented:?}"),
+            "{}: fused and instrumented loops diverged",
+            mix.name
+        );
+        if mix.bin.is_some() {
+            let cycles: Vec<u64> = fused.cores.iter().map(|c| c.cycles).collect();
+            assert!(
+                cycles.iter().any(|&c| c != cycles[0]),
+                "{}: cores finished together ({cycles:?})",
+                mix.name
+            );
+        }
     }
 }
 
